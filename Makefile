@@ -66,15 +66,19 @@ bench:
 	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(SERVE_BENCH)' ./internal/server | tee BENCH_serve.txt
 	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(NN_BENCH)' ./internal/nn | tee BENCH_nn.txt
 
-# Short-budget fuzz runs over the parsers that face untrusted bytes: the
+# Short-budget fuzz runs over the parsers that face untrusted bytes (the
 # batch WAV decoder, the streaming WAV decoder, the WebSocket frame
-# parser, and the cluster peer-protocol wire codec. Seed corpora are in
-# the fuzz tests; crashers land in testdata/fuzz/ for triage.
+# parser, the cluster peer-protocol wire codec) and over the exact
+# kernels that must match their textbook references bit for bit (the
+# packed int8 GEMM, the Viterbi lattice step). Seed corpora are in the
+# fuzz tests; crashers land in testdata/fuzz/ for triage.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWAV$$' -fuzztime $(FUZZTIME) ./internal/audio
 	$(GO) test -run '^$$' -fuzz '^FuzzWAVStreamReader$$' -fuzztime $(FUZZTIME) ./internal/audio
 	$(GO) test -run '^$$' -fuzz '^FuzzWSFrame$$' -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzQLayerPacked$$' -fuzztime $(FUZZTIME) ./internal/nn
+	$(GO) test -run '^$$' -fuzz '^FuzzViterbiStep$$' -fuzztime $(FUZZTIME) ./internal/hmm
 
 # Boot a real daemon (bootstrap model, admin listener) and probe its
 # endpoints end to end: health, metrics, pprof, and a traced detection.

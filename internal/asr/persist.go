@@ -50,15 +50,49 @@ type hmmSnap struct {
 	Emitters []emitterSnap
 }
 
-// lmSnap serializes the shared language model by replaying its training
-// counts (the model is rebuilt by re-training on the stored sentences'
-// n-gram counts; we store the raw maps instead for exactness).
+// lmSnap serializes the shared language model as its raw n-gram and
+// context count tables, for exactness. The tables are stored as
+// key-sorted lists so the artifact is byte-identical across saves (the
+// model fingerprint is a hash of these bytes). Counts and Ctx are the
+// map form artifacts of the first format revision carried; they are
+// still read, never written (gob omits the empty maps).
 type lmSnap struct {
-	Order  int
-	K      float64
-	Vocab  []string
-	Counts map[string]float64
-	Ctx    map[string]float64
+	Order     int
+	K         float64
+	Vocab     []string
+	CountList []lmCount
+	CtxList   []lmCount
+	Counts    map[string]float64
+	Ctx       map[string]float64
+}
+
+// lmCount is one entry of an n-gram count table.
+type lmCount struct {
+	Key string
+	N   float64
+}
+
+// sortedCounts lists a count table in key order.
+func sortedCounts(m map[string]float64) []lmCount {
+	out := make([]lmCount, 0, len(m))
+	for k, n := range m {
+		out = append(out, lmCount{k, n})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
+// countMap rebuilds a count table from its list form; a legacy map, when
+// present, is used as is.
+func countMap(list []lmCount, legacy map[string]float64) map[string]float64 {
+	if legacy != nil {
+		return legacy
+	}
+	m := make(map[string]float64, len(list))
+	for _, c := range list {
+		m[c.Key] = c.N
+	}
+	return m
 }
 
 // engineSetSnap is the full serialized engine set.
@@ -96,10 +130,23 @@ type engineSetSnap struct {
 	CTCNet  *nn.MLP
 }
 
-// Save serializes the engine set to w.
+// Save serializes the engine set to w. Saving one set twice writes the
+// same bytes.
 func (s *EngineSet) Save(w io.Writer) error {
+	snap, err := s.snapshot()
+	if err != nil {
+		return err
+	}
+	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
+		return fmt.Errorf("asr: encoding engine set: %w", err)
+	}
+	return nil
+}
+
+// snapshot builds the serializable form of the engine set.
+func (s *EngineSet) snapshot() (engineSetSnap, error) {
 	if s.DS0 == nil || s.DS1 == nil || s.GCS == nil || s.AT == nil || s.KLD == nil {
-		return fmt.Errorf("asr: cannot save a partially built engine set")
+		return engineSetSnap{}, fmt.Errorf("asr: cannot save a partially built engine set")
 	}
 	snap := engineSetSnap{
 		Version:    persistVersion,
@@ -133,10 +180,7 @@ func (s *EngineSet) Save(w io.Writer) error {
 			snap.KLDCentroids[i] = append([]float64(nil), c...)
 		}
 	}
-	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
-		return fmt.Errorf("asr: encoding engine set: %w", err)
-	}
-	return nil
+	return snap, nil
 }
 
 // Load deserializes an engine set written by Save.
@@ -237,17 +281,17 @@ func LoadFile(path string) (*EngineSet, error) {
 
 func snapshotLM(m *lm.Model) lmSnap {
 	snap := lmSnap{
-		Order:  m.Order,
-		K:      m.K,
-		Counts: m.Counts(),
-		Ctx:    m.ContextCounts(),
+		Order:     m.Order,
+		K:         m.K,
+		CountList: sortedCounts(m.Counts()),
+		CtxList:   sortedCounts(m.ContextCounts()),
 	}
 	for w := range m.Vocab {
 		snap.Vocab = append(snap.Vocab, w)
 	}
-	// Sorted vocab keeps the gob artifact byte-stable across saves: the
-	// model fingerprint is a hash of these bytes, so map order here
-	// would otherwise change the fingerprint on every save.
+	// Sorted vocab and count lists keep the gob artifact byte-stable
+	// across saves: the model fingerprint is a hash of these bytes, so map
+	// order here would otherwise change the fingerprint on every save.
 	sort.Strings(snap.Vocab)
 	return snap
 }
@@ -257,7 +301,7 @@ func restoreLM(snap lmSnap) (*lm.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.Restore(snap.Vocab, snap.Counts, snap.Ctx)
+	m.Restore(snap.Vocab, countMap(snap.CountList, snap.Counts), countMap(snap.CtxList, snap.Ctx))
 	return m, nil
 }
 
@@ -293,13 +337,17 @@ func restoreHMM(snap hmmSnap) (*hmm.HMM, error) {
 			}
 			emitters[i] = g
 		case es.GMM != nil:
-			mix := &hmm.GMM{Weights: es.GMM.Weights}
-			for _, cs := range es.GMM.Components {
+			comps := make([]*hmm.Gaussian, len(es.GMM.Components))
+			for j, cs := range es.GMM.Components {
 				c, err := hmm.NewGaussian(cs.Mean, cs.Var)
 				if err != nil {
 					return nil, err
 				}
-				mix.Components = append(mix.Components, c)
+				comps[j] = c
+			}
+			mix, err := hmm.NewGMM(es.GMM.Weights, comps)
+			if err != nil {
+				return nil, err
 			}
 			emitters[i] = mix
 		default:

@@ -2,6 +2,7 @@ package asr
 
 import (
 	"bytes"
+	"encoding/gob"
 	"path/filepath"
 	"testing"
 
@@ -116,5 +117,71 @@ func TestLoadedDS0KeepsGradientCapability(t *testing.T) {
 	}
 	if loss <= 0 || len(grad) != len(clip.Samples) {
 		t.Fatalf("loaded engine gradient broken: loss %g, %d grads", loss, len(grad))
+	}
+}
+
+// TestSaveIsByteDeterministic checks an engine set serializes to the same
+// bytes every time and after a round trip: the model fingerprint is a
+// hash of these bytes.
+func TestSaveIsByteDeterministic(t *testing.T) {
+	set := testEngines(t)
+	var a, b, c bytes.Buffer
+	if err := set.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("two saves of one engine set differ")
+	}
+	loaded, err := Load(bytes.NewReader(a.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Save(&c); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), c.Bytes()) {
+		t.Fatal("save after a load differs from the loaded bytes")
+	}
+}
+
+// TestLoadLegacyMapCounts checks an artifact of the first format revision,
+// which stored the language-model count tables as gob maps, still loads
+// into the same model: saving it again gives the current format's bytes.
+func TestLoadLegacyMapCounts(t *testing.T) {
+	set := testEngines(t)
+	snap, err := set.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := gob.NewEncoder(&want).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	toMap := func(list []lmCount) map[string]float64 {
+		m := make(map[string]float64, len(list))
+		for _, c := range list {
+			m[c.Key] = c.N
+		}
+		return m
+	}
+	snap.LM.Counts, snap.LM.Ctx = toMap(snap.LM.CountList), toMap(snap.LM.CtxList)
+	snap.LM.CountList, snap.LM.CtxList = nil, nil
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := loaded.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("legacy artifact reloads into a different model")
 	}
 }

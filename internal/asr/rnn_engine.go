@@ -62,15 +62,7 @@ func (e *RNNEngine) features(clip *audio.Clip, cache *FeatureCache) ([][]float64
 	if !e.UseDeltas {
 		return feats, nil
 	}
-	deltas := dsp.Deltas(feats, 2)
-	out := make([][]float64, len(feats))
-	for t := range feats {
-		v := make([]float64, 0, len(feats[t])*2)
-		v = append(v, feats[t]...)
-		v = append(v, deltas[t]...)
-		out[t] = v
-	}
-	return out, nil
+	return dsp.AppendDeltas(feats, 2), nil
 }
 
 // FrameLabels implements FrameLabeler.

@@ -352,43 +352,24 @@ type rnnStream struct {
 	front  *streamFront
 	labels []int     // committed labels
 	h      []float64 // hidden state after the last committed input
+	in     []float64 // network input buffer, reused frame to frame
 }
 
 // input builds the network input for frame t, replicating the batch
 // feature construction (MFCC row plus the width-2 regression deltas with
-// edges clamped to the current frame count n).
+// edges clamped to the current frame count n). The result aliases a
+// buffer the next call overwrites.
 func (s *rnnStream) input(t, n int) []float64 {
 	feats := s.front.feats
 	if !s.e.UseDeltas {
 		return feats[t]
 	}
-	clamp := func(i int) int {
-		if i < 0 {
-			return 0
-		}
-		if i >= n {
-			return n - 1
-		}
-		return i
+	f := feats[t]
+	if cap(s.in) < 2*len(f) {
+		s.in = make([]float64, 2*len(f))
 	}
-	d := make([]float64, len(feats[t]))
-	var denom float64
-	for w := 1; w <= 2; w++ {
-		denom += 2 * float64(w*w)
-	}
-	for w := 1; w <= 2; w++ {
-		fw := float64(w)
-		plus, minus := feats[clamp(t+w)], feats[clamp(t-w)]
-		for j := range d {
-			d[j] += fw * (plus[j] - minus[j])
-		}
-	}
-	for j := range d {
-		d[j] /= denom
-	}
-	v := make([]float64, 0, len(feats[t])*2)
-	v = append(v, feats[t]...)
-	v = append(v, d...)
+	v := s.in[:2*len(f)]
+	dsp.DeltaFrame(feats[:n], t, 2, v[copy(v, f):])
 	return v
 }
 

@@ -329,42 +329,52 @@ func cmplxConj(c complex128) complex128 {
 	return complex(real(c), -imag(c))
 }
 
-// Deltas computes first-order regression deltas over a feature matrix with
-// the standard +/-width window.
-func Deltas(feats [][]float64, width int) [][]float64 {
+// AppendDeltas returns every frame followed by its first-order regression
+// deltas over the standard +/-width window (see DeltaFrame), all rows
+// carved from one backing array.
+func AppendDeltas(feats [][]float64, width int) [][]float64 {
+	total := 0
+	for _, f := range feats {
+		total += 2 * len(f)
+	}
+	buf := make([]float64, total)
+	out := make([][]float64, len(feats))
+	for t, f := range feats {
+		row := buf[: 2*len(f) : 2*len(f)]
+		buf = buf[2*len(f):]
+		DeltaFrame(feats, t, width, row[copy(row, f):])
+		out[t] = row
+	}
+	return out
+}
+
+// DeltaFrame writes the regression deltas of frame t into dst, which must
+// have length len(feats[t]): dst[j] = Σ_w w·(f[t+w][j] − f[t−w][j]) /
+// Σ_w 2w² for w = 1..width (2 when width <= 0), with frame indices
+// clamped to [0, len(feats)). It lets per-frame consumers reuse one
+// buffer.
+func DeltaFrame(feats [][]float64, t, width int, dst []float64) {
 	if width <= 0 {
 		width = 2
 	}
 	n := len(feats)
-	out := make([][]float64, n)
 	var denom float64
 	for w := 1; w <= width; w++ {
 		denom += 2 * float64(w*w)
 	}
-	clamp := func(i int) int {
-		if i < 0 {
-			return 0
-		}
-		if i >= n {
-			return n - 1
-		}
-		return i
+	for j := range dst {
+		dst[j] = 0
 	}
-	for t := 0; t < n; t++ {
-		d := make([]float64, len(feats[t]))
-		for w := 1; w <= width; w++ {
-			fw := float64(w)
-			plus, minus := feats[clamp(t+w)], feats[clamp(t-w)]
-			for j := range d {
-				d[j] += fw * (plus[j] - minus[j])
-			}
+	for w := 1; w <= width; w++ {
+		fw := float64(w)
+		plus, minus := feats[min(t+w, n-1)], feats[max(t-w, 0)]
+		for j := range dst {
+			dst[j] += fw * (plus[j] - minus[j])
 		}
-		for j := range d {
-			d[j] /= denom
-		}
-		out[t] = d
 	}
-	return out
+	for j := range dst {
+		dst[j] /= denom
+	}
 }
 
 // StackContext concatenates each frame with +/-context neighbouring frames

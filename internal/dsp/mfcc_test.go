@@ -367,11 +367,38 @@ func TestDeltasOfConstantAreZero(t *testing.T) {
 	for i := range feats {
 		feats[i] = []float64{3, -1, 2}
 	}
-	d := Deltas(feats, 2)
+	d := AppendDeltas(feats, 2)
 	for t2, row := range d {
-		for j, v := range row {
+		for j, v := range row[3:] {
+			if row[j] != feats[t2][j] {
+				t.Fatalf("frame %d coeff %d: %g, want the feature %g", t2, j, row[j], feats[t2][j])
+			}
 			if v != 0 {
 				t.Fatalf("frame %d coeff %d: delta %g, want 0", t2, j, v)
+			}
+		}
+	}
+}
+
+// TestDeltaFrameMatchesAppendDeltas checks the per-frame delta kernel,
+// writing into a reused dirty buffer as the streaming RNN engine does,
+// gives the bits AppendDeltas gives and the regression formula
+// (Σ_w w·(f[t+w]−f[t−w]) / Σ_w 2w², edges clamped).
+func TestDeltaFrameMatchesAppendDeltas(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	feats := make([][]float64, 9)
+	for i := range feats {
+		feats[i] = []float64{rng.NormFloat64(), rng.NormFloat64() * 3, rng.Float64()}
+	}
+	rows := AppendDeltas(feats, 2)
+	dst := []float64{7, -7, 7}
+	for t2 := range feats {
+		DeltaFrame(feats, t2, 2, dst)
+		clamp := func(i int) []float64 { return feats[min(max(i, 0), len(feats)-1)] }
+		for j := range dst {
+			want := (1*(clamp(t2 + 1)[j]-clamp(t2 - 1)[j]) + 2*(clamp(t2 + 2)[j]-clamp(t2 - 2)[j])) / 10
+			if math.Float64bits(dst[j]) != math.Float64bits(rows[t2][3+j]) || math.Abs(dst[j]-want) > 1e-12 {
+				t.Fatalf("frame %d coeff %d: DeltaFrame %v, AppendDeltas %v, formula %v", t2, j, dst[j], rows[t2][3+j], want)
 			}
 		}
 	}

@@ -91,10 +91,28 @@ func FitGaussian(samples [][]float64) (*Gaussian, error) {
 	return NewGaussian(mean, variance)
 }
 
-// GMM is a mixture of diagonal Gaussians.
+// GMM is a mixture of diagonal Gaussians. Build one with NewGMM or
+// FitGMM, which derive the cached log-weights LogProb reads.
 type GMM struct {
 	Weights    []float64 // mixture weights, sum to 1
 	Components []*Gaussian
+
+	// logW caches math.Log(Weights[i]) for every positive weight.
+	logW []float64
+}
+
+// NewGMM wraps mixture weights and components and caches the log-weights.
+func NewGMM(weights []float64, components []*Gaussian) (*GMM, error) {
+	if len(weights) != len(components) {
+		return nil, fmt.Errorf("hmm: %d mixture weights for %d components", len(weights), len(components))
+	}
+	m := &GMM{Weights: weights, Components: components, logW: make([]float64, len(weights))}
+	for i, w := range weights {
+		if w > 0 {
+			m.logW[i] = math.Log(w)
+		}
+	}
+	return m, nil
 }
 
 // LogProb returns the log density of x under the mixture.
@@ -104,7 +122,7 @@ func (m *GMM) LogProb(x []float64) float64 {
 		if m.Weights[i] <= 0 {
 			continue
 		}
-		v := math.Log(m.Weights[i]) + c.LogProb(x)
+		v := m.logW[i] + c.LogProb(x)
 		out = logSumExp(out, v)
 	}
 	return out
@@ -263,5 +281,5 @@ func FitGMM(samples [][]float64, k, emIters int, rng *rand.Rand) (*GMM, error) {
 			gmm.Weights[c] = nc / float64(len(samples))
 		}
 	}
-	return gmm, nil
+	return NewGMM(gmm.Weights, gmm.Components)
 }

@@ -12,12 +12,18 @@ type Emitter interface {
 
 // HMM is a first-order hidden Markov model with one Emitter per state.
 // LogTrans[i][j] is the log probability of moving from state i to j;
-// LogInit[i] the log probability of starting in state i.
+// LogInit[i] the log probability of starting in state i. Build one with
+// NewHMM, which derives the lattice's transposed transition table.
 type HMM struct {
 	NumStates int
 	LogInit   []float64
 	LogTrans  [][]float64
 	Emitters  []Emitter
+
+	// logTransT is LogTrans transposed into one flat slab, column j at
+	// logTransT[j*NumStates:(j+1)*NumStates], so the Viterbi max over
+	// predecessors of state j scans contiguous memory. Derived in NewHMM.
+	logTransT []float64
 }
 
 // NewHMM validates shapes and wraps the parameters.
@@ -34,7 +40,19 @@ func NewHMM(logInit []float64, logTrans [][]float64, emitters []Emitter) (*HMM, 
 			return nil, fmt.Errorf("hmm: transition row %d has %d entries, want %d", i, len(row), n)
 		}
 	}
-	return &HMM{NumStates: n, LogInit: logInit, LogTrans: logTrans, Emitters: emitters}, nil
+	return &HMM{NumStates: n, LogInit: logInit, LogTrans: logTrans, Emitters: emitters, logTransT: transpose(logTrans)}, nil
+}
+
+// transpose flattens the n x n matrix m column by column.
+func transpose(m [][]float64) []float64 {
+	n := len(m)
+	t := make([]float64, n*n)
+	for i, row := range m {
+		for j, v := range row {
+			t[j*n+i] = v
+		}
+	}
+	return t
 }
 
 // Viterbi returns the most likely state sequence for the observations and
@@ -45,6 +63,7 @@ func (h *HMM) Viterbi(obs [][]float64) ([]int, float64, error) {
 		return nil, 0, fmt.Errorf("hmm: empty observation sequence")
 	}
 	v := h.Stream()
+	v.back = make([]int32, 0, (len(obs)-1)*h.NumStates)
 	for _, o := range obs {
 		v.Step(o)
 	}

@@ -17,8 +17,11 @@ type ViterbiState struct {
 	h         *HMM
 	prevDelta []float64
 	delta     []float64
-	back      [][]int32
-	t         int
+	// back holds one row of NumStates back-pointers per observation after
+	// the first, appended to one growing slab: row t-1 names, for every
+	// state at time t, its best predecessor at time t-1.
+	back []int32
+	t    int
 }
 
 // Stream returns a fresh incremental Viterbi lattice over h.
@@ -33,30 +36,34 @@ func (h *HMM) Stream() *ViterbiState {
 // Len returns the number of observations consumed so far.
 func (v *ViterbiState) Len() int { return v.t }
 
-// Step advances the lattice by one observation.
+// Step advances the lattice by one observation. The max over
+// predecessors i scans column j of the transposed transition matrix in
+// increasing i, adding prevDelta[i] + LogTrans[i][j] and keeping the
+// first strict maximum — the textbook recurrence, term for term.
 func (v *ViterbiState) Step(obs []float64) {
 	h, n := v.h, v.h.NumStates
 	if v.t == 0 {
 		for i := 0; i < n; i++ {
 			v.prevDelta[i] = h.LogInit[i] + h.Emitters[i].LogProb(obs)
 		}
-		v.back = append(v.back, make([]int32, n))
 		v.t = 1
 		return
 	}
-	bt := make([]int32, n)
-	for j := 0; j < n; j++ {
+	prev := v.prevDelta[:n]
+	off := len(v.back)
+	v.back = append(v.back, make([]int32, n)...)
+	bt := v.back[off : off+n]
+	for j := range bt {
+		col := h.logTransT[j*n:][:len(prev)]
 		bestScore, bestState := math.Inf(-1), 0
-		for i := 0; i < n; i++ {
-			s := v.prevDelta[i] + h.LogTrans[i][j]
-			if s > bestScore {
+		for i, p := range prev {
+			if s := p + col[i]; s > bestScore {
 				bestScore, bestState = s, i
 			}
 		}
 		v.delta[j] = bestScore + h.Emitters[j].LogProb(obs)
 		bt[j] = int32(bestState)
 	}
-	v.back = append(v.back, bt)
 	v.prevDelta, v.delta = v.delta, v.prevDelta
 	v.t++
 }
@@ -80,7 +87,7 @@ func (v *ViterbiState) Path() ([]int, float64, error) {
 	path := make([]int, v.t)
 	path[v.t-1] = bestState
 	for t := v.t - 1; t > 0; t-- {
-		path[t-1] = int(v.back[t][path[t]])
+		path[t-1] = int(v.back[(t-1)*v.h.NumStates+path[t]])
 	}
 	return path, bestScore, nil
 }

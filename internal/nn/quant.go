@@ -10,20 +10,33 @@ import (
 // The detection hot path is frame classification: thousands of small
 // matrix-vector products per clip, all bound by scalar multiply-add
 // throughput on float64 weights. Quantizing weights to int8 with
-// per-output-row symmetric scales shrinks the working set 8x and moves every
-// multiply-accumulate onto int32, and batching all of a clip's frames into
-// one blocked matrix-matrix product per layer lets each loaded input value
-// feed four weight rows with independent accumulators — the form the
-// scalar pipeline actually keeps busy. Dequantization happens once per
-// output (at the accumulator), so activations and logits stay float64 and
-// the nonlinearities are exact.
+// per-output-row symmetric scales moves every multiply-accumulate onto
+// exact integers, and batching all of a clip's frames into one blocked
+// matrix-matrix product per layer lets each loaded input value feed many
+// weight rows — the form the scalar pipeline actually keeps busy. The
+// batched kernel packs two adjacent weight rows into the two 32-bit lanes
+// of one int64 (qmat.packed), so one 64-bit multiply performs two
+// multiply-accumulates and an eight-row block needs only four
+// accumulator registers. The lanes never interfere: every lane sum is
+// bounded by 127²·inW < 2³¹ (maxExactWidth), the same bound an int32
+// accumulator needs, so unpacking recovers exactly the integers the
+// single-frame dotInt8 computes. Dequantization happens once per output
+// (at the accumulator), so activations and logits stay float64 and the
+// nonlinearities are exact.
 //
 // Quantized models are DERIVED state: they are built from a float model at
 // load time (Quantize/QuantizeRNN), are never serialized, and hold no
 // state the float model does not. Model fingerprints and verdict-cache
 // keys therefore never see them. Callers gate their use behind an
 // accuracy-parity check (see internal/asr) and fall back to the float
-// model when the check fails.
+// model when the check fails. A quantized weight costs 1 byte (q) plus 4
+// bytes of its packed copy.
+
+// maxExactWidth is the widest layer input the integer kernels accumulate
+// exactly: with |q| ≤ 127 each product is at most 127² = 16129, so a sum
+// of up to maxExactWidth of them stays inside int32 — and inside one
+// packed lane.
+const maxExactWidth = math.MaxInt32 / (127 * 127)
 
 // qmat is one int8-quantized matrix with per-output-row symmetric scales:
 // the float weight w[r*cols+j] is approximated by scales[r] *
@@ -31,16 +44,24 @@ import (
 // one per-matrix scale: a single outlier row no longer inflates the
 // quantization step of every other row, which is the difference between
 // the acoustic MLPs passing and failing the transcription-parity gate.
+//
+// packed holds the rows in pairs for the batched kernel: row pair p
+// occupies packed[p*cols : (p+1)*cols] with element j equal to
+// int64(q[2p][j]) + int64(q[2p+1][j])<<32. An odd last row is not packed.
 type qmat struct {
 	q      []int8
 	scales []float64
+	packed []int64
 }
 
 // quantizeMat quantizes the rows x cols matrix w symmetrically, one scale
 // per row: scales[r] = max|w[r]| / 127, q = round(w/scale) clamped to
 // [-127, 127]. An all-zero row gets scale 0 and zero q, which dequantizes
-// exactly.
+// exactly. It panics if cols exceeds maxExactWidth.
 func quantizeMat(w []float64, rows, cols int) qmat {
+	if cols > maxExactWidth {
+		panic(fmt.Sprintf("nn: layer input width %d exceeds the exact int8 accumulation bound %d", cols, maxExactWidth))
+	}
 	m := qmat{q: make([]int8, len(w)), scales: make([]float64, rows)}
 	for r := 0; r < rows; r++ {
 		row := w[r*cols : (r+1)*cols]
@@ -66,7 +87,21 @@ func quantizeMat(w []float64, rows, cols int) qmat {
 			m.q[r*cols+j] = int8(q)
 		}
 	}
+	m.pack(rows, cols)
 	return m
+}
+
+// pack derives packed from q: row pair p is int64(q[2p][j]) +
+// int64(q[2p+1][j])<<32.
+func (m *qmat) pack(rows, cols int) {
+	m.packed = make([]int64, rows/2*cols)
+	for p := 0; p < rows/2; p++ {
+		lo, hi := m.q[2*p*cols:(2*p+1)*cols], m.q[(2*p+1)*cols:(2*p+2)*cols]
+		dst := m.packed[p*cols : (p+1)*cols]
+		for j := range dst {
+			dst[j] = int64(lo[j]) + int64(hi[j])<<32
+		}
+	}
 }
 
 // quantizeVecInto quantizes one activation vector symmetrically into dst
@@ -100,8 +135,8 @@ func quantizeVecInto(x []float64, dst []int8) float64 {
 
 // dotInt8 is the int8 x int8 -> int32 inner product of the single-frame
 // path. With |q| <= 127 each term is bounded by 16129, so an int32
-// accumulator is exact up to ~133k terms — orders of magnitude above any
-// layer width in this repository. Four independent accumulators break the
+// accumulator is exact up to maxExactWidth (~133k) terms — orders of
+// magnitude above any layer width in this repository. Four independent accumulators break the
 // add dependency chain; integer addition is associative, so the result is
 // identical to the naive loop.
 func dotInt8(a, b []int8) int32 {
@@ -150,78 +185,109 @@ func fastTanh(x float64) float64 {
 	return x * p / q
 }
 
-// dot4Int8 computes the inner products of x against four weight rows at
-// once: each loaded input byte feeds four independent accumulators, so
-// the multiplies pipeline and input traffic is quartered. Kept as its own
-// function so the register allocator sees only these nine live values —
-// inlined into qlayerBatch the surrounding state spills the accumulators
-// to the stack every iteration.
+// dotPacked8 computes the inner products of x against eight weight rows
+// held as four packed row pairs (see qmat.packed). Each int64 multiply
+// performs two multiply-accumulates, one per 32-bit lane, so eight rows
+// need only four accumulators and every loaded input byte feeds all
+// eight. Kept as its own function so the register allocator sees only
+// these live values — inlined into qlayerBatch the surrounding state
+// spills the accumulators to the stack every iteration.
 //
 //go:noinline
-func dot4Int8(x, w0, w1, w2, w3 []int8) (s0, s1, s2, s3 int32) {
+func dotPacked8(x []int8, p0, p1, p2, p3 []int64) (a0, a1, a2, a3 int64) {
 	// Reslice the rows to len(x) so the compiler can prove every index
 	// below is in bounds and drop the checks.
-	w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
+	p0, p1, p2, p3 = p0[:len(x)], p1[:len(x)], p2[:len(x)], p3[:len(x)]
 	for j, xv8 := range x {
-		xv := int32(xv8)
-		s0 += xv * int32(w0[j])
-		s1 += xv * int32(w1[j])
-		s2 += xv * int32(w2[j])
-		s3 += xv * int32(w3[j])
+		xv := int64(xv8)
+		a0 += xv * p0[j]
+		a1 += xv * p1[j]
+		a2 += xv * p2[j]
+		a3 += xv * p3[j]
 	}
-	return s0, s1, s2, s3
+	return a0, a1, a2, a3
+}
+
+// dotPacked2 is dotPacked8 for a single packed row pair: the tail of a
+// matrix whose row count is not a multiple of eight.
+func dotPacked2(x []int8, p []int64) int64 {
+	p = p[:len(x)]
+	var a int64
+	for j, xv8 := range x {
+		a += int64(xv8) * p[j]
+	}
+	return a
+}
+
+// unpackLanes splits a packed accumulator lo + hi·2³² into its two exact
+// int32 lane sums. Both lanes satisfy |sum| ≤ 127²·inW < 2³¹
+// (maxExactWidth), so the low 32 bits, read as a signed int32, are the
+// low lane, and removing it leaves the high lane exactly in the upper
+// half — any borrow the low lane made from the high half is undone.
+func unpackLanes(a int64) (lo, hi int32) {
+	lo = int32(a)
+	hi = int32((a - int64(lo)) >> 32)
+	return lo, hi
 }
 
 // qlayerBatch is the blocked int8 GEMM behind every batched layer: t
 // quantized input rows (stride rstride, per-row scales) against an
 // outW x inW quantized weight matrix, dequantized into float rows of fout
 // (stride fstride), with optional bias and tanh. Output rows are blocked
-// four at a time so each loaded input byte feeds four independent int32
-// accumulators. The accumulated integer is exact, and the dequantization
+// eight at a time over the packed row pairs, so each loaded input byte
+// feeds eight multiply-accumulates in four int64 registers; leftover
+// pairs run dotPacked2 and a last odd row dotInt8. Every lane sum is the
+// exact integer dotInt8 would return, and the dequantization
 // v = float64(acc)*(scales[i]*w.scales[o]) + bias matches the
 // single-frame path term for term, so batching never changes a logit.
 func qlayerBatch(t, inW, outW int, qrows []int8, rstride int, scales []float64, w qmat, bias []float64, act bool, fout []float64, fstride int) {
-	o := 0
-	for ; o+3 < outW; o += 4 {
-		w0 := w.q[(o+0)*inW : (o+0)*inW+inW]
-		w1 := w.q[(o+1)*inW : (o+1)*inW+inW]
-		w2 := w.q[(o+2)*inW : (o+2)*inW+inW]
-		w3 := w.q[(o+3)*inW : (o+3)*inW+inW]
-		sw0, sw1, sw2, sw3 := w.scales[o], w.scales[o+1], w.scales[o+2], w.scales[o+3]
-		var b0, b1, b2, b3 float64
-		if bias != nil {
-			b0, b1, b2, b3 = bias[o], bias[o+1], bias[o+2], bias[o+3]
+	var acc [8]int32
+	for o, n := 0, 0; o < outW; o += n {
+		n = min(len(acc), outW-o)
+		if n > 1 {
+			n &^= 1 // whole row pairs; a last odd row runs alone
 		}
+		ws, bs := w.scales[o:o+n], zeroBias[:n]
+		if bias != nil {
+			bs = bias[o : o+n]
+		}
+		pr := w.packed[(o/2)*inW:]
 		for i := 0; i < t; i++ {
 			x := qrows[i*rstride : i*rstride+inW]
-			s0, s1, s2, s3 := dot4Int8(x, w0, w1, w2, w3)
-			si := scales[i]
-			a0 := float64(s0)*(si*sw0) + b0
-			a1 := float64(s1)*(si*sw1) + b1
-			a2 := float64(s2)*(si*sw2) + b2
-			a3 := float64(s3)*(si*sw3) + b3
-			if act {
-				a0, a1, a2, a3 = fastTanh(a0), fastTanh(a1), fastTanh(a2), fastTanh(a3)
+			switch n {
+			case 8:
+				a0, a1, a2, a3 := dotPacked8(x, pr[:inW], pr[inW:2*inW], pr[2*inW:3*inW], pr[3*inW:4*inW])
+				acc[0], acc[1] = unpackLanes(a0)
+				acc[2], acc[3] = unpackLanes(a1)
+				acc[4], acc[5] = unpackLanes(a2)
+				acc[6], acc[7] = unpackLanes(a3)
+			case 1:
+				acc[0] = dotInt8(x, w.q[o*inW:o*inW+inW])
+			default:
+				for k := 0; k < n; k += 2 {
+					acc[k], acc[k+1] = unpackLanes(dotPacked2(x, pr[(k/2)*inW:(k/2+1)*inW]))
+				}
 			}
-			frow := fout[i*fstride : i*fstride+outW]
-			frow[o], frow[o+1], frow[o+2], frow[o+3] = a0, a1, a2, a3
+			dequantInto(fout[i*fstride+o:i*fstride+o+n], acc[:n], scales[i], ws, bs, act)
 		}
 	}
-	for ; o < outW; o++ {
-		wrow := w.q[o*inW : o*inW+inW]
-		sw := w.scales[o]
-		var bo float64
-		if bias != nil {
-			bo = bias[o]
+}
+
+// zeroBias stands in for a nil bias in qlayerBatch's dequantization: a
+// bias-free output still adds +0, which turns a -0 product into +0 the
+// way the single-frame form float64(acc)*scale + bias does.
+var zeroBias [8]float64
+
+// dequantInto turns exact accumulators into float outputs:
+// dst[k] = acc[k]·(si·ws[k]) + bs[k], optionally through fastTanh.
+func dequantInto(dst []float64, acc []int32, si float64, ws, bs []float64, act bool) {
+	ws, bs = ws[:len(acc)], bs[:len(acc)]
+	for k, s := range acc {
+		v := float64(s)*(si*ws[k]) + bs[k]
+		if act {
+			v = fastTanh(v)
 		}
-		for i := 0; i < t; i++ {
-			x := qrows[i*rstride : i*rstride+inW]
-			s := float64(dotInt8(x, wrow))*(scales[i]*sw) + bo
-			if act {
-				s = fastTanh(s)
-			}
-			fout[i*fstride+o] = s
-		}
+		dst[k] = v
 	}
 }
 

@@ -165,9 +165,10 @@ func (s *System) ModelFingerprint() (string, error) {
 
 // setFingerprint records the artifact hash. Loading (force) always wins:
 // a loaded system's identity is the file it came from. Saving only fills
-// an unset fingerprint — re-encoding can legally produce different bytes
-// (gob map ordering), and changing an in-use fingerprint would silently
-// split a serving cache keyed on it.
+// an unset fingerprint — re-encoding a loaded artifact need not reproduce
+// its bytes (one written by an older format revision re-encodes in the
+// current one), and changing an in-use fingerprint would silently split
+// a serving cache keyed on it.
 func (s *System) setFingerprint(fp string, force bool) {
 	s.fpMu.Lock()
 	if force || s.fp == "" {

@@ -77,8 +77,7 @@ func TestModelFingerprintStableAcrossLoads(t *testing.T) {
 			t.Fatalf("load %d fingerprint %s, want hash of artifact bytes %s", i, fp, want)
 		}
 	}
-	// The in-process fingerprint is stable: repeated calls agree even
-	// though re-encoding the system could produce different bytes.
+	// The in-process fingerprint is stable: repeated calls agree.
 	fp1, err := s.ModelFingerprint()
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +88,44 @@ func TestModelFingerprintStableAcrossLoads(t *testing.T) {
 	}
 	if fp1 != fp2 {
 		t.Fatalf("in-process fingerprint changed: %s vs %s", fp1, fp2)
+	}
+}
+
+// TestSystemSaveIsByteDeterministic checks a system writes the same
+// artifact every time it is saved and after a Save→Read→Save round trip,
+// so saving never mints a new fingerprint (and new verdict-cache keys)
+// for the same model.
+func TestSystemSaveIsByteDeterministic(t *testing.T) {
+	s := sharedSystem(t)
+	var a, b, c bytes.Buffer
+	if err := s.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("two saves differ (%d vs %d bytes)", a.Len(), b.Len())
+	}
+	loaded, err := Read(bytes.NewReader(a.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Save(&c); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), c.Bytes()) {
+		t.Fatal("Save→Read→Save changed the artifact bytes")
+	}
+	sum := sha256.Sum256(a.Bytes())
+	for _, sys := range []*System{s, loaded} {
+		fp, err := sys.ModelFingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != hex.EncodeToString(sum[:]) {
+			t.Fatalf("fingerprint %s is not the hash of the saved bytes", fp)
+		}
 	}
 }
 
