@@ -68,10 +68,12 @@ bench:
 
 # Short-budget fuzz runs over the parsers that face untrusted bytes (the
 # batch WAV decoder, the streaming WAV decoder, the WebSocket frame
-# parser, the cluster peer-protocol wire codec) and over the exact
-# kernels that must match their textbook references bit for bit (the
-# packed int8 GEMM, the Viterbi lattice step). Seed corpora are in the
-# fuzz tests; crashers land in testdata/fuzz/ for triage.
+# parser, the cluster peer-protocol wire codec), over the exact kernels
+# that must match their textbook references bit for bit (the packed int8
+# GEMM, the Viterbi lattice step), and over the streaming contract under
+# fuzzed chunk schedules (windows never error, finals equal batch). Seed
+# corpora are in the fuzz tests; crashers land in testdata/fuzz/ for
+# triage.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWAV$$' -fuzztime $(FUZZTIME) ./internal/audio
 	$(GO) test -run '^$$' -fuzz '^FuzzWAVStreamReader$$' -fuzztime $(FUZZTIME) ./internal/audio
@@ -79,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzQLayerPacked$$' -fuzztime $(FUZZTIME) ./internal/nn
 	$(GO) test -run '^$$' -fuzz '^FuzzViterbiStep$$' -fuzztime $(FUZZTIME) ./internal/hmm
+	$(GO) test -run '^$$' -fuzz '^FuzzEnsembleStreamSchedule$$' -fuzztime $(FUZZTIME) ./internal/asr
 
 # Boot a real daemon (bootstrap model, admin listener) and probe its
 # endpoints end to end: health, metrics, pprof, and a traced detection.

@@ -14,12 +14,19 @@
 //     observation that an inaccurate auxiliary (Kaldi) hurts detection.
 //
 // All engines share the lexicon + n-gram-LM word decoder in decode.go.
+//
+// DS0/DS1, GCS, AT and KLD each label frames through exactly one
+// frame-incremental core (frameCore). Batch transcription runs a fresh
+// core over every frame of the clip; EnsembleStream (stream.go) advances
+// one as audio arrives. The int8 kernels (quantized.go) are a batch-only
+// alternative that frameLabels picks when EnableQuantized is in effect.
 package asr
 
 import (
 	"fmt"
 
 	"mvpears/internal/audio"
+	"mvpears/internal/dsp"
 )
 
 // EngineID identifies one of the built-in engines.
@@ -76,4 +83,79 @@ func validateClip(clip *audio.Clip, wantRate int) error {
 		return fmt.Errorf("asr: clip is %d Hz, engine expects %d Hz", clip.SampleRate, wantRate)
 	}
 	return nil
+}
+
+// engineFront is what every engine's preamble and tail need: the feature
+// front end that turns a clip into MFCC frames, and the decoder that
+// turns frame labels into words.
+type engineFront struct {
+	id   EngineID
+	rate int
+	mfcc *dsp.MFCC
+	dec  *Decoder
+}
+
+// features validates clip and returns its MFCC frames, through the shared
+// per-clip cache when one is given.
+func (f engineFront) features(clip *audio.Clip, cache *FeatureCache) ([][]float64, error) {
+	if err := validateClip(clip, f.rate); err != nil {
+		return nil, err
+	}
+	var (
+		feats [][]float64
+		err   error
+	)
+	if cache != nil {
+		feats, err = cache.Extract(f.mfcc)
+	} else {
+		feats, err = f.mfcc.Extract(clip.Samples)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("asr: %s feature extraction: %w", f.id, err)
+	}
+	return feats, nil
+}
+
+// decode gates labels, labels[k] being frame first+k, against the energy
+// of samples[a:b] and decodes them into words. A whole clip is first=0,
+// a=0, b=len(samples); a stream window is its own frame and sample range.
+func (f engineFront) decode(labels []int, first int, samples []float64, a, b int) (string, error) {
+	mc := f.mfcc.Config()
+	text, err := f.dec.Decode(energyGate(labels, first, samples, a, b, mc.FrameLen, mc.Hop, energyGateRatio))
+	if err != nil {
+		return "", fmt.Errorf("asr: %s decoding: %w", f.id, err)
+	}
+	return text, nil
+}
+
+// frameCore is an engine's frame-incremental labeling core. It owns the
+// engine's commitment rule (when a frame's label can no longer change),
+// the committed labels and the reused scratch. Batch labeling is a fresh
+// core advanced over every frame with final=true; EnsembleStream advances
+// one per pushed chunk and reads provisional windows from it.
+type frameCore interface {
+	// advance labels the frames of feats not yet committed, as far as the
+	// commitment rule allows; final=true commits every frame with
+	// end-of-clip clamping. feats only grows from one call to the next.
+	advance(feats [][]float64, final bool) error
+	// labels returns the labels of frames [from,to): committed ones as
+	// they are, the rest provisionally from feats as heard so far. The
+	// result may alias the core's state and must not be modified.
+	labels(feats [][]float64, from, to int) ([]int, error)
+}
+
+// labelEngine is an engine whose transcription is its frame labels,
+// energy-gated and decoded.
+type labelEngine interface {
+	front() engineFront
+	frameLabels(clip *audio.Clip, cache *FeatureCache) ([]int, error)
+}
+
+// transcribe is the TranscribeWithCache of every labelEngine.
+func transcribe(e labelEngine, clip *audio.Clip, cache *FeatureCache) (string, error) {
+	labels, err := e.frameLabels(clip, cache)
+	if err != nil {
+		return "", err
+	}
+	return e.front().decode(labels, 0, clip.Samples, 0, len(clip.Samples))
 }

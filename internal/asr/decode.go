@@ -110,19 +110,28 @@ func ApplyEnergyGate(labels []int, samples []float64, frameLen, hop int, ratio f
 	if frameLen <= 0 || hop <= 0 || len(samples) == 0 {
 		return labels
 	}
+	return energyGate(labels, 0, samples, 0, len(samples), frameLen, hop, ratio)
+}
+
+// energyGate returns a copy of labels, labels[k] being frame first+k,
+// with every frame whose RMS is below ratio times the RMS of the
+// reference range samples[a:b] forced to silence. Frames index the whole
+// sample buffer, not the reference range: engine frame geometries differ,
+// so a window's frames are located by absolute sample position.
+func energyGate(labels []int, first int, samples []float64, a, b, frameLen, hop int, ratio float64) []int {
 	var total float64
-	for _, v := range samples {
+	for _, v := range samples[a:b] {
 		total += v * v
 	}
-	clipRMS := total / float64(len(samples))
-	threshold := ratio * ratio * clipRMS
+	refRMS := total / float64(b-a)
+	threshold := ratio * ratio * refRMS
 	sil := phoneme.SilIndex()
 	out := make([]int, len(labels))
 	copy(out, labels)
-	for f := range labels {
-		start := f * hop
+	for k := range out {
+		start := (first + k) * hop
 		if start >= len(samples) {
-			out[f] = sil
+			out[k] = sil
 			continue
 		}
 		end := start + frameLen
@@ -134,7 +143,7 @@ func ApplyEnergyGate(labels []int, samples []float64, frameLen, hop int, ratio f
 			e += v * v
 		}
 		if e/float64(end-start) < threshold {
-			out[f] = sil
+			out[k] = sil
 		}
 	}
 	return out

@@ -30,6 +30,8 @@ var (
 // Name implements Recognizer.
 func (e *GMMEngine) Name() string { return string(e.ID) }
 
+func (e *GMMEngine) front() engineFront { return engineFront{e.ID, e.SampleRate, e.MFCC, e.Dec} }
+
 // FrameLabels implements FrameLabeler: the Viterbi state path, which is by
 // construction one state per phoneme.
 func (e *GMMEngine) FrameLabels(clip *audio.Clip) ([]int, error) {
@@ -37,44 +39,53 @@ func (e *GMMEngine) FrameLabels(clip *audio.Clip) ([]int, error) {
 }
 
 func (e *GMMEngine) frameLabels(clip *audio.Clip, cache *FeatureCache) ([]int, error) {
-	if err := validateClip(clip, e.SampleRate); err != nil {
+	feats, err := e.front().features(clip, cache)
+	if err != nil {
 		return nil, err
 	}
-	var (
-		feats [][]float64
-		err   error
-	)
-	if cache != nil {
-		feats, err = cache.Extract(e.MFCC)
-	} else {
-		feats, err = e.MFCC.Extract(clip.Samples)
+	c := e.newCore(len(feats))
+	if err := c.advance(feats, true); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return nil, fmt.Errorf("asr: %s feature extraction: %w", e.ID, err)
-	}
-	path, _, err := e.Model.Viterbi(feats)
-	if err != nil {
-		return nil, fmt.Errorf("asr: %s Viterbi: %w", e.ID, err)
-	}
-	return path, nil
+	return c.labels(feats, 0, len(feats))
 }
 
 // Transcribe implements Recognizer.
 func (e *GMMEngine) Transcribe(clip *audio.Clip) (string, error) {
-	return e.TranscribeWithCache(clip, nil)
+	return transcribe(e, clip, nil)
 }
 
 // TranscribeWithCache implements CacheTranscriber.
 func (e *GMMEngine) TranscribeWithCache(clip *audio.Clip, cache *FeatureCache) (string, error) {
-	labels, err := e.frameLabels(clip, cache)
-	if err != nil {
-		return "", err
+	return transcribe(e, clip, cache)
+}
+
+// gmmCore is the GMM-HMM's frameCore: a Viterbi lattice stepped once per
+// frame. It needs no future context, yet commits nothing before the end
+// of the clip: the labels of any range are the best path given every
+// frame so far, backtraced on demand.
+type gmmCore struct {
+	e *GMMEngine
+	v *hmm.ViterbiState
+}
+
+// newCore sizes the lattice's back-pointer slab for frames observations
+// (0 when unknown).
+func (e *GMMEngine) newCore(frames int) *gmmCore {
+	return &gmmCore{e: e, v: e.Model.Stream(frames)}
+}
+
+func (c *gmmCore) advance(feats [][]float64, final bool) error {
+	for t := c.v.Len(); t < len(feats); t++ {
+		c.v.Step(feats[t])
 	}
-	mc := e.MFCC.Config()
-	labels = ApplyEnergyGate(labels, clip.Samples, mc.FrameLen, mc.Hop, energyGateRatio)
-	text, err := e.Dec.Decode(labels)
+	return nil
+}
+
+func (c *gmmCore) labels(feats [][]float64, from, to int) ([]int, error) {
+	path, _, err := c.v.Path()
 	if err != nil {
-		return "", fmt.Errorf("asr: %s decoding: %w", e.ID, err)
+		return nil, fmt.Errorf("asr: %s Viterbi: %w", c.e.ID, err)
 	}
-	return text, nil
+	return path[from:to], nil
 }

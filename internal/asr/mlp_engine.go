@@ -42,56 +42,13 @@ func (e *MLPEngine) Name() string { return string(e.ID) }
 // NumFrames implements GradientModel.
 func (e *MLPEngine) NumFrames(numSamples int) int { return e.MFCC.NumFrames(numSamples) }
 
-// rawFeatures extracts the unstacked MFCC matrix, going through the
-// shared per-clip cache when one is supplied.
-func (e *MLPEngine) rawFeatures(clip *audio.Clip, cache *FeatureCache) ([][]float64, error) {
-	if err := validateClip(clip, e.SampleRate); err != nil {
-		return nil, err
-	}
-	var (
-		feats [][]float64
-		err   error
-	)
-	if cache != nil {
-		feats, err = cache.Extract(e.MFCC)
-	} else {
-		feats, err = e.MFCC.Extract(clip.Samples)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("asr: %s feature extraction: %w", e.ID, err)
-	}
-	return feats, nil
-}
-
-// features extracts context-stacked MFCCs; when keepState is true the MFCC
-// state needed for the backward pass is returned too. The gradient path
-// never goes through the feature cache.
-func (e *MLPEngine) features(clip *audio.Clip, keepState bool) ([][]float64, *dsp.MFCCState, error) {
-	if err := validateClip(clip, e.SampleRate); err != nil {
-		return nil, nil, err
-	}
-	var (
-		feats [][]float64
-		st    *dsp.MFCCState
-		err   error
-	)
-	if keepState {
-		feats, st, err = e.MFCC.ExtractWithState(clip.Samples)
-	} else {
-		feats, err = e.MFCC.Extract(clip.Samples)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("asr: %s feature extraction: %w", e.ID, err)
-	}
-	return dsp.StackContext(feats, e.Context), st, nil
-}
-
 // FrameLogits returns per-frame phoneme logits.
 func (e *MLPEngine) FrameLogits(clip *audio.Clip) ([][]float64, error) {
-	feats, _, err := e.features(clip, false)
+	raw, err := e.front().features(clip, nil)
 	if err != nil {
 		return nil, err
 	}
+	feats := dsp.StackContext(raw, e.Context)
 	out := make([][]float64, len(feats))
 	for t, f := range feats {
 		logits, err := e.Net.Forward(f)
@@ -103,30 +60,24 @@ func (e *MLPEngine) FrameLogits(clip *audio.Clip) ([][]float64, error) {
 	return out, nil
 }
 
-// frameLabels computes per-frame argmax phonemes with reusable stacking
-// and network buffers: the steady state does no per-frame allocations.
-// With EnableQuantized in effect the frames go through the int8 batched
-// forward instead of the per-frame float64 loop.
+func (e *MLPEngine) front() engineFront { return engineFront{e.ID, e.SampleRate, e.MFCC, e.Dec} }
+
+// frameLabels computes per-frame argmax phonemes: the float path runs a
+// fresh core over every frame; with EnableQuantized in effect the frames
+// go through the int8 batched forward instead.
 func (e *MLPEngine) frameLabels(clip *audio.Clip, cache *FeatureCache) ([]int, error) {
-	raw, err := e.rawFeatures(clip, cache)
+	feats, err := e.front().features(clip, cache)
 	if err != nil {
 		return nil, err
 	}
 	if e.qnet != nil {
-		return e.frameLabelsQuantized(raw)
+		return e.frameLabelsQuantized(feats)
 	}
-	labels := make([]int, len(raw))
-	stacked := make([]float64, (2*e.Context+1)*e.MFCC.Config().NumCoeffs)
-	scratch := e.Net.NewScratch()
-	for t := range raw {
-		dsp.StackFrame(raw, t, e.Context, stacked)
-		logits, err := e.Net.ForwardScratch(stacked, scratch)
-		if err != nil {
-			return nil, fmt.Errorf("asr: %s frame %d: %w", e.ID, t, err)
-		}
-		labels[t] = nn.Argmax(logits)
+	c := e.newCore(len(feats))
+	if err := c.advance(feats, true); err != nil {
+		return nil, err
 	}
-	return labels, nil
+	return c.labels(feats, 0, len(feats))
 }
 
 // FrameLabels implements FrameLabeler: per-frame argmax phonemes.
@@ -136,33 +87,84 @@ func (e *MLPEngine) FrameLabels(clip *audio.Clip) ([]int, error) {
 
 // Transcribe implements Recognizer.
 func (e *MLPEngine) Transcribe(clip *audio.Clip) (string, error) {
-	return e.TranscribeWithCache(clip, nil)
+	return transcribe(e, clip, nil)
 }
 
 // TranscribeWithCache implements CacheTranscriber.
 func (e *MLPEngine) TranscribeWithCache(clip *audio.Clip, cache *FeatureCache) (string, error) {
-	labels, err := e.frameLabels(clip, cache)
-	if err != nil {
-		return "", err
+	return transcribe(e, clip, cache)
+}
+
+// mlpCore is the MLP's frameCore. Frame t is classified from frames
+// [t-Context, t+Context], so its label is committed once frame t+Context
+// exists (the left edge clamps to frame 0); before that a window labels
+// it provisionally, the right edge clamped to the frames heard so far.
+type mlpCore struct {
+	e         *MLPEngine
+	committed []int
+	stacked   []float64
+	scratch   nn.MLPScratch
+}
+
+func (e *MLPEngine) newCore(frames int) *mlpCore {
+	return &mlpCore{
+		e:         e,
+		committed: make([]int, 0, frames),
+		stacked:   make([]float64, (2*e.Context+1)*e.MFCC.Config().NumCoeffs),
+		scratch:   *e.Net.NewScratch(),
 	}
-	mc := e.MFCC.Config()
-	labels = ApplyEnergyGate(labels, clip.Samples, mc.FrameLen, mc.Hop, energyGateRatio)
-	text, err := e.Dec.Decode(labels)
+}
+
+// label classifies frame t, its context clamped to the frames in feats.
+func (c *mlpCore) label(feats [][]float64, t int) (int, error) {
+	dsp.StackFrame(feats, t, c.e.Context, c.stacked)
+	logits, err := c.e.Net.ForwardScratch(c.stacked, &c.scratch)
 	if err != nil {
-		return "", fmt.Errorf("asr: %s decoding: %w", e.ID, err)
+		return 0, fmt.Errorf("asr: %s frame %d: %w", c.e.ID, t, err)
 	}
-	return text, nil
+	return nn.Argmax(logits), nil
+}
+
+func (c *mlpCore) advance(feats [][]float64, final bool) error {
+	for t := len(c.committed); t < len(feats) && (final || t+c.e.Context < len(feats)); t++ {
+		l, err := c.label(feats, t)
+		if err != nil {
+			return err
+		}
+		c.committed = append(c.committed, l)
+	}
+	return nil
+}
+
+func (c *mlpCore) labels(feats [][]float64, from, to int) ([]int, error) {
+	n := len(c.committed)
+	if to <= n {
+		return c.committed[from:to], nil
+	}
+	out := append(make([]int, 0, to-from), c.committed[min(from, n):]...)
+	for t := max(from, n); t < to; t++ {
+		l, err := c.label(feats, t)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, l)
+	}
+	return out, nil
 }
 
 // TargetLoss implements GradientModel: the mean framewise cross-entropy of
 // the clip against targetLabels, plus dLoss/dsample obtained by exact
 // backpropagation through the network, context stacking, and MFCC
-// extraction.
+// extraction. The gradient path never goes through the feature cache.
 func (e *MLPEngine) TargetLoss(clip *audio.Clip, targetLabels []int) (float64, []float64, error) {
-	feats, st, err := e.features(clip, true)
-	if err != nil {
+	if err := validateClip(clip, e.SampleRate); err != nil {
 		return 0, nil, err
 	}
+	raw, st, err := e.MFCC.ExtractWithState(clip.Samples)
+	if err != nil {
+		return 0, nil, fmt.Errorf("asr: %s feature extraction: %w", e.ID, err)
+	}
+	feats := dsp.StackContext(raw, e.Context)
 	if len(targetLabels) != len(feats) {
 		return 0, nil, fmt.Errorf("asr: %d target labels for %d frames", len(targetLabels), len(feats))
 	}

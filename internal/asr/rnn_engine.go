@@ -37,30 +37,14 @@ var (
 // Name implements Recognizer.
 func (e *RNNEngine) Name() string { return string(e.ID) }
 
+func (e *RNNEngine) front() engineFront { return engineFront{e.ID, e.SampleRate, e.MFCC, e.Dec} }
+
 // Features extracts the engine's input representation (MFCC + optional
 // deltas).
 func (e *RNNEngine) Features(clip *audio.Clip) ([][]float64, error) {
-	return e.features(clip, nil)
-}
-
-func (e *RNNEngine) features(clip *audio.Clip, cache *FeatureCache) ([][]float64, error) {
-	if err := validateClip(clip, e.SampleRate); err != nil {
-		return nil, err
-	}
-	var (
-		feats [][]float64
-		err   error
-	)
-	if cache != nil {
-		feats, err = cache.Extract(e.MFCC)
-	} else {
-		feats, err = e.MFCC.Extract(clip.Samples)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("asr: %s feature extraction: %w", e.ID, err)
-	}
-	if !e.UseDeltas {
-		return feats, nil
+	feats, err := e.front().features(clip, nil)
+	if err != nil || !e.UseDeltas {
+		return feats, err
 	}
 	return dsp.AppendDeltas(feats, 2), nil
 }
@@ -70,41 +54,117 @@ func (e *RNNEngine) FrameLabels(clip *audio.Clip) ([]int, error) {
 	return e.frameLabels(clip, nil)
 }
 
+// frameLabels runs a fresh core over every frame, or with
+// EnableQuantized in effect the int8 sequence forward over the whole
+// input matrix.
 func (e *RNNEngine) frameLabels(clip *audio.Clip, cache *FeatureCache) ([]int, error) {
-	feats, err := e.features(clip, cache)
+	feats, err := e.front().features(clip, cache)
 	if err != nil {
 		return nil, err
 	}
 	if e.qnet != nil {
+		if e.UseDeltas {
+			feats = dsp.AppendDeltas(feats, 2)
+		}
 		return e.frameLabelsQuantized(feats)
 	}
-	logits, _, err := e.Net.ForwardSeq(feats)
-	if err != nil {
-		return nil, fmt.Errorf("asr: %s forward: %w", e.ID, err)
+	c := e.newCore(len(feats))
+	if err := c.advance(feats, true); err != nil {
+		return nil, err
 	}
-	labels := make([]int, len(logits))
-	for t, l := range logits {
-		labels[t] = nn.Argmax(l)
-	}
-	return labels, nil
+	return c.labels(feats, 0, len(feats))
 }
 
 // Transcribe implements Recognizer.
 func (e *RNNEngine) Transcribe(clip *audio.Clip) (string, error) {
-	return e.TranscribeWithCache(clip, nil)
+	return transcribe(e, clip, nil)
 }
 
 // TranscribeWithCache implements CacheTranscriber.
 func (e *RNNEngine) TranscribeWithCache(clip *audio.Clip, cache *FeatureCache) (string, error) {
-	labels, err := e.frameLabels(clip, cache)
-	if err != nil {
-		return "", err
+	return transcribe(e, clip, cache)
+}
+
+// rnnCore is the RNN's frameCore. With deltas, input t reads frames
+// t-2..t+2, so it is committed once frame t+2 exists (without deltas, as
+// soon as frame t does). The hidden state advances only over committed
+// inputs; a provisional tail runs on a copy of it.
+type rnnCore struct {
+	e         *RNNEngine
+	committed []int
+	// h is the hidden state after the last committed input; nh and hp
+	// are step scratch (the three are always distinct buffers).
+	h, nh, hp []float64
+	y         []float64 // output logits of the last step
+	in        []float64 // network input buffer, reused frame to frame
+}
+
+func (e *RNNEngine) newCore(frames int) *rnnCore {
+	n := e.Net.Hidden
+	buf := make([]float64, 3*n+e.Net.Out)
+	return &rnnCore{
+		e:         e,
+		committed: make([]int, 0, frames),
+		h:         buf[:n:n],
+		nh:        buf[n : 2*n : 2*n],
+		hp:        buf[2*n : 3*n : 3*n],
+		y:         buf[3*n:],
 	}
-	mc := e.MFCC.Config()
-	labels = ApplyEnergyGate(labels, clip.Samples, mc.FrameLen, mc.Hop, energyGateRatio)
-	text, err := e.Dec.Decode(labels)
-	if err != nil {
-		return "", fmt.Errorf("asr: %s decoding: %w", e.ID, err)
+}
+
+// input builds network input t: the MFCC row followed, with deltas, by
+// its width-2 regression deltas with edges clamped to the frames in
+// feats. The result aliases a buffer the next call overwrites.
+func (c *rnnCore) input(feats [][]float64, t int) []float64 {
+	f := feats[t]
+	if !c.e.UseDeltas {
+		return f
 	}
-	return text, nil
+	if cap(c.in) < 2*len(f) {
+		c.in = make([]float64, 2*len(f))
+	}
+	v := c.in[:2*len(f)]
+	dsp.DeltaFrame(feats, t, 2, v[copy(v, f):])
+	return v
+}
+
+// step runs input t from hidden state h into nh and returns its label.
+func (c *rnnCore) step(feats [][]float64, t int, h, nh []float64) (int, error) {
+	if err := c.e.Net.StepInto(c.input(feats, t), h, nh, c.y); err != nil {
+		return 0, fmt.Errorf("asr: %s frame %d: %w", c.e.ID, t, err)
+	}
+	return nn.Argmax(c.y), nil
+}
+
+func (c *rnnCore) advance(feats [][]float64, final bool) error {
+	for t := len(c.committed); t < len(feats) && (final || !c.e.UseDeltas || t+2 < len(feats)); t++ {
+		l, err := c.step(feats, t, c.h, c.nh)
+		if err != nil {
+			return err
+		}
+		c.h, c.nh = c.nh, c.h
+		c.committed = append(c.committed, l)
+	}
+	return nil
+}
+
+func (c *rnnCore) labels(feats [][]float64, from, to int) ([]int, error) {
+	n := len(c.committed)
+	if to <= n {
+		return c.committed[from:to], nil
+	}
+	out := append(make([]int, 0, to-from), c.committed[min(from, n):]...)
+	h, nh := append(c.hp[:0], c.h...), c.nh
+	for t := n; t < to; t++ {
+		l, err := c.step(feats, t, h, nh)
+		if err != nil {
+			return nil, err
+		}
+		h, nh = nh, h
+		if t >= from {
+			out = append(out, l)
+		}
+	}
+	c.hp, c.nh = h, nh
+	return out, nil
 }

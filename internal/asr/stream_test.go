@@ -9,7 +9,7 @@ import (
 	"mvpears/internal/speech"
 )
 
-func synthClip(t *testing.T, rate int, text string, seed int64) *audio.Clip {
+func synthClip(t testing.TB, rate int, text string, seed int64) *audio.Clip {
 	t.Helper()
 	synth := speech.NewSynthesizer(rate)
 	rng := rand.New(rand.NewSource(seed))
@@ -171,4 +171,130 @@ func TestEnsembleStreamValidation(t *testing.T) {
 	if err := es.Push(clip.Samples); err == nil {
 		t.Fatal("Push after Finalize should error")
 	}
+}
+
+// streamWindowTexts pushes clip in pieces of chunk(k) samples for the
+// k-th push and, like the session layer, reads every engine's WindowText
+// for each 250 ms hop edge as soon as the pushed audio reaches it (1 s
+// windows, the first ending at 1 s). Row j of the texts holds the window
+// ending at 1 s + j hops. The stream is returned unfinalized.
+func streamWindowTexts(t *testing.T, engines []Recognizer, clip *audio.Clip, chunk func(k int) int) (*EnsembleStream, [][]string) {
+	t.Helper()
+	es, err := NewEnsembleStream(engines, clip.SampleRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window, hop := clip.SampleRate, clip.SampleRate/4
+	var rows [][]string
+	next := window
+	for off, k := 0, 0; off < len(clip.Samples); k++ {
+		end := min(off+chunk(k), len(clip.Samples))
+		if err := es.Push(clip.Samples[off:end]); err != nil {
+			t.Fatal(err)
+		}
+		off = end
+		for ; next <= es.Total(); next += hop {
+			row := make([]string, len(engines))
+			for i, e := range engines {
+				if row[i], err = es.WindowText(i, next-window, next); err != nil {
+					t.Fatalf("window [%d,%d) %s: %v", next-window, next, e.Name(), err)
+				}
+			}
+			rows = append(rows, row)
+		}
+	}
+	return es, rows
+}
+
+// windowTextTable pins the provisional window transcriptions of
+// TestEnsembleStreamWindowTexts, per chunk size, in DS0, DS1, GCS, AT,
+// KLD order. Any change to an engine's commitment rule, provisional tail
+// or window gate shows up here as a changed text.
+var windowTextTable = map[int][][]string{
+	512: {
+		{"open the", "go done the", "open the", "open the big", "open the"},
+		{"open the door", "go done the door", "open the door", "open the door", "open the door"},
+		{"an the door and", "an the door and", "an the door and", "an the door and", "an oven door air"},
+		{"the door and", "the door an", "the door and", "the door and", "the door and"},
+		{"door and early", "door an free", "door and free", "door and free", "door and free"},
+		{"air and read", "air an read", "air and read", "air and read", "air and read"},
+		{"and read the", "an read the", "and read the", "and read the", "and read oven"},
+		{"read the bad", "read the low", "read the both", "read the book", "read oven back"},
+	},
+	4000: {
+		{"open the", "go done the", "open the", "open the", "open the"},
+		{"open the door", "go done the door", "open the door", "open the door", "open the door"},
+		{"an the door and", "an the door and", "an the door and", "an the door and", "an oven door air"},
+		{"the door and", "the door an", "the door and", "the door and", "the door and"},
+		{"door and early", "door an free", "door and free", "door and free", "door and free"},
+		{"air and read", "air an read", "air and read", "air and read", "air and read"},
+		{"and read the", "an read the", "and read the", "and read the", "and read oven"},
+		{"read the book", "read the book", "read the both", "read the book", "read oven back"},
+	},
+}
+
+// TestEnsembleStreamWindowTexts pins every engine's provisional window
+// transcription at every hop edge of a fixed clip, for a fine and a
+// coarse chunk schedule.
+func TestEnsembleStreamWindowTexts(t *testing.T) {
+	set := testEngines(t)
+	clip := synthClip(t, set.SampleRate, "open the door and read the book", 2024)
+	engines := []Recognizer{set.DS0, set.DS1, set.GCS, set.AT, set.KLD}
+	for _, chunk := range []int{512, 4000} {
+		_, got := streamWindowTexts(t, engines, clip, func(int) int { return chunk })
+		want := windowTextTable[chunk]
+		if len(got) != len(want) {
+			t.Errorf("chunk %d: %d windows, want %d", chunk, len(got), len(want))
+		}
+		for k := range min(len(got), len(want)) {
+			for i, e := range engines {
+				if got[k][i] != want[k][i] {
+					t.Errorf("chunk %d window %d %s: %q, want %q", chunk, k, e.Name(), got[k][i], want[k][i])
+				}
+			}
+		}
+		if t.Failed() {
+			t.Logf("chunk %d texts: %#v", chunk, got)
+		}
+	}
+}
+
+// FuzzEnsembleStreamSchedule turns the fuzz bytes into a chunk-size
+// schedule (byte b pushes 1+16b samples, the bytes cycling until the clip
+// is in) and checks the streaming contract under it: WindowText never
+// errors mid-stream, and every engine's FinalText equals its batch
+// Transcribe character for character.
+func FuzzEnsembleStreamSchedule(f *testing.F) {
+	set := testEngines(f)
+	clip := synthClip(f, set.SampleRate, "open the door and close the window", 77)
+	engines := []Recognizer{set.DS0, set.DS1, set.GCS, set.AT, set.KLD}
+	want := make([]string, len(engines))
+	for i, e := range engines {
+		text, err := e.Transcribe(clip)
+		if err != nil {
+			f.Fatalf("%s: batch transcribe: %v", e.Name(), err)
+		}
+		want[i] = text
+	}
+	f.Add([]byte{0})
+	f.Add([]byte{31, 255, 2})
+	f.Add([]byte{250})
+	f.Fuzz(func(t *testing.T, sched []byte) {
+		if len(sched) == 0 {
+			return
+		}
+		es, _ := streamWindowTexts(t, engines, clip, func(k int) int { return 1 + 16*int(sched[k%len(sched)]) })
+		if err := es.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range engines {
+			got, err := es.FinalText(i)
+			if err != nil {
+				t.Fatalf("%s: FinalText: %v", e.Name(), err)
+			}
+			if got != want[i] {
+				t.Errorf("%s: streamed %q != batch %q", e.Name(), got, want[i])
+			}
+		}
+	})
 }

@@ -31,31 +31,52 @@ var (
 // Name implements Recognizer.
 func (e *WeakEngine) Name() string { return string(e.ID) }
 
+func (e *WeakEngine) front() engineFront { return engineFront{e.ID, e.SampleRate, e.MFCC, e.Dec} }
+
 // FrameLabels implements FrameLabeler.
 func (e *WeakEngine) FrameLabels(clip *audio.Clip) ([]int, error) {
 	return e.frameLabels(clip, nil)
 }
 
 func (e *WeakEngine) frameLabels(clip *audio.Clip, cache *FeatureCache) ([]int, error) {
-	if err := validateClip(clip, e.SampleRate); err != nil {
+	feats, err := e.front().features(clip, cache)
+	if err != nil {
 		return nil, err
 	}
-	var (
-		feats [][]float64
-		err   error
-	)
-	if cache != nil {
-		feats, err = cache.Extract(e.MFCC)
-	} else {
-		feats, err = e.MFCC.Extract(clip.Samples)
+	c := e.newCore(len(feats))
+	if err := c.advance(feats, true); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return nil, fmt.Errorf("asr: %s feature extraction: %w", e.ID, err)
-	}
-	labels := make([]int, len(feats))
-	q := make([]float64, e.MFCC.Config().NumCoeffs)
-	for t, f := range feats {
-		q = q[:len(f)]
+	return c.labels(feats, 0, len(feats))
+}
+
+// Transcribe implements Recognizer.
+func (e *WeakEngine) Transcribe(clip *audio.Clip) (string, error) {
+	return transcribe(e, clip, nil)
+}
+
+// TranscribeWithCache implements CacheTranscriber.
+func (e *WeakEngine) TranscribeWithCache(clip *audio.Clip, cache *FeatureCache) (string, error) {
+	return transcribe(e, clip, cache)
+}
+
+// weakCore is the weak engine's frameCore: a per-frame classifier, so
+// every frame is committed as soon as it exists.
+type weakCore struct {
+	e         *WeakEngine
+	committed []int
+	q         []float64 // the quantized frame, reused
+}
+
+func (e *WeakEngine) newCore(frames int) *weakCore {
+	return &weakCore{e: e, committed: make([]int, 0, frames), q: make([]float64, e.MFCC.Config().NumCoeffs)}
+}
+
+func (c *weakCore) advance(feats [][]float64, final bool) error {
+	e := c.e
+	for t := len(c.committed); t < len(feats); t++ {
+		f := feats[t]
+		q := c.q[:len(f)]
 		for i, v := range f {
 			if e.Quant > 0 {
 				q[i] = math.Round(v/e.Quant) * e.Quant
@@ -64,13 +85,13 @@ func (e *WeakEngine) frameLabels(clip *audio.Clip, cache *FeatureCache) ([]int, 
 			}
 		}
 		best, bestDist := -1, math.Inf(1)
-		for ph, c := range e.Centroids {
-			if c == nil {
+		for ph, cen := range e.Centroids {
+			if cen == nil {
 				continue
 			}
 			var dist float64
 			for i := range q {
-				d := q[i] - c[i]
+				d := q[i] - cen[i]
 				dist += d * d
 			}
 			if dist < bestDist {
@@ -78,29 +99,13 @@ func (e *WeakEngine) frameLabels(clip *audio.Clip, cache *FeatureCache) ([]int, 
 			}
 		}
 		if best < 0 {
-			return nil, fmt.Errorf("asr: %s has no trained centroids", e.ID)
+			return fmt.Errorf("asr: %s has no trained centroids", e.ID)
 		}
-		labels[t] = best
+		c.committed = append(c.committed, best)
 	}
-	return labels, nil
+	return nil
 }
 
-// Transcribe implements Recognizer.
-func (e *WeakEngine) Transcribe(clip *audio.Clip) (string, error) {
-	return e.TranscribeWithCache(clip, nil)
-}
-
-// TranscribeWithCache implements CacheTranscriber.
-func (e *WeakEngine) TranscribeWithCache(clip *audio.Clip, cache *FeatureCache) (string, error) {
-	labels, err := e.frameLabels(clip, cache)
-	if err != nil {
-		return "", err
-	}
-	mc := e.MFCC.Config()
-	labels = ApplyEnergyGate(labels, clip.Samples, mc.FrameLen, mc.Hop, energyGateRatio)
-	text, err := e.Dec.Decode(labels)
-	if err != nil {
-		return "", fmt.Errorf("asr: %s decoding: %w", e.ID, err)
-	}
-	return text, nil
+func (c *weakCore) labels(feats [][]float64, from, to int) ([]int, error) {
+	return c.committed[from:to], nil
 }

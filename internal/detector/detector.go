@@ -207,19 +207,30 @@ func (d *Detector) detectTimedP(ctx context.Context, clip *audio.Clip, parallel 
 // transcription spans are recorded inside internal/asr, and the decode
 // span by whoever decoded the audio).
 func (d *Detector) detectFull(ctx context.Context, clip *audio.Clip, parallel bool) (Decision, Timing, error) {
-	var timing Timing
-	trace := obs.TraceFrom(ctx)
 	start := time.Now()
 	tr, err := d.transcribeAllP(ctx, clip, parallel)
 	if err != nil {
+		return Decision{}, Timing{}, err
+	}
+	obs.TraceFrom(ctx).Record(obs.StageTranscribe, "", start)
+	recognition := time.Since(start)
+	scores, adversarial, timing, err := d.Classify(ctx, tr)
+	timing.Recognition = recognition
+	if err != nil {
 		return Decision{}, timing, err
 	}
-	trace.Record(obs.StageTranscribe, "", start)
-	timing.Recognition = time.Since(start)
+	return Decision{Adversarial: adversarial, Scores: scores, Transcriptions: tr}, timing, nil
+}
 
-	// Phonetic encoding and similarity scoring are timed as separate
-	// stages; Encode + Score compose to exactly Method.Compare, so the
-	// score vector is bit-identical to the untraced path's.
+// Classify is the tail of every whole-ensemble verdict: it phonetically
+// encodes the transcriptions, scores each auxiliary against the target
+// and classifies the score vector. Encode + Score compose to exactly
+// Method.Compare, so the scores are bit-identical to Scores(tr). When ctx
+// carries an obs.Trace it records the phonetic, similarity and classify
+// spans. The returned Timing leaves Recognition zero; its Similarity
+// keeps the paper's §V-I meaning, encoding plus scoring.
+func (d *Detector) Classify(ctx context.Context, tr Transcriptions) (scores []float64, adversarial bool, timing Timing, err error) {
+	trace := obs.TraceFrom(ctx)
 	simStart := time.Now()
 	encTarget := d.Method.Encode(tr.Target)
 	encAux := make([]string, len(tr.Aux))
@@ -227,23 +238,22 @@ func (d *Detector) detectFull(ctx context.Context, clip *audio.Clip, parallel bo
 		encAux[i] = d.Method.Encode(aux)
 	}
 	trace.Record(obs.StagePhonetic, "", simStart)
-	start = time.Now()
-	scores := make([]float64, len(encAux))
+	start := time.Now()
+	scores = make([]float64, len(encAux))
 	for i, enc := range encAux {
 		scores[i] = d.Method.Score(encTarget, enc)
 	}
 	trace.Record(obs.StageSimilarity, "", start)
-	// Timing.Similarity keeps the paper's §V-I meaning: encoding + scoring.
 	timing.Similarity = time.Since(simStart)
 
 	start = time.Now()
 	pred, err := d.Classifier.Predict(scores)
 	if err != nil {
-		return Decision{}, timing, fmt.Errorf("detector: classifying: %w", err)
+		return nil, false, timing, fmt.Errorf("detector: classifying: %w", err)
 	}
 	trace.Record(obs.StageClassify, "", start)
 	timing.Classify = time.Since(start)
-	return Decision{Adversarial: pred == 1, Scores: scores, Transcriptions: tr}, timing, nil
+	return scores, pred == 1, timing, nil
 }
 
 // PhoneticEncode applies the detector's similarity method's phonetic

@@ -62,8 +62,7 @@ func (h *HMM) Viterbi(obs [][]float64) ([]int, float64, error) {
 	if len(obs) == 0 {
 		return nil, 0, fmt.Errorf("hmm: empty observation sequence")
 	}
-	v := h.Stream()
-	v.back = make([]int32, 0, (len(obs)-1)*h.NumStates)
+	v := h.Stream(len(obs))
 	for _, o := range obs {
 		v.Step(o)
 	}

@@ -95,7 +95,7 @@ func tiedHMM(n, T, symbols int, pick func() int) (*HMM, [][]float64) {
 // batch Viterbi at the end: same error, same path, same score bits.
 func checkViterbi(tb testing.TB, h *HMM, obs [][]float64) {
 	tb.Helper()
-	v := h.Stream()
+	v := h.Stream(0)
 	for t := range obs {
 		v.Step(obs[t])
 		want, wantScore, ok := refViterbi(h, obs[:t+1])

@@ -24,12 +24,15 @@ type ViterbiState struct {
 	t    int
 }
 
-// Stream returns a fresh incremental Viterbi lattice over h.
-func (h *HMM) Stream() *ViterbiState {
+// Stream returns a fresh incremental Viterbi lattice over h. frames is
+// the number of observations expected, when known, so the back-pointer
+// slab is sized once; 0 lets it grow as observations arrive.
+func (h *HMM) Stream(frames int) *ViterbiState {
 	return &ViterbiState{
 		h:         h,
 		prevDelta: make([]float64, h.NumStates),
 		delta:     make([]float64, h.NumStates),
+		back:      make([]int32, 0, max(frames-1, 0)*h.NumStates),
 	}
 }
 

@@ -51,8 +51,8 @@ type RNNCache struct {
 // StepInto advances the recurrence by one frame: given input x and hidden
 // state h it writes the next hidden state into nh and, when y is non-nil,
 // the output logits into y. It is the single step shared by ForwardSeq
-// and the streaming ASR path, so the two can never drift numerically. nh
-// must not alias h.
+// (training) and the ASR engine's labeling core (batch and streaming), so
+// they can never drift numerically. nh must not alias h.
 func (r *RNN) StepInto(x, h, nh, y []float64) error {
 	if len(x) != r.In {
 		return fmt.Errorf("nn: frame has size %d, want %d", len(x), r.In)

@@ -150,7 +150,6 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, fn func(ctx cont
 	case err == nil:
 		return true
 	case errors.Is(err, ErrQueueFull):
-		s.queueRejected.Inc()
 		s.rejectedTotal.With(rejectQueueFull).Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
@@ -464,7 +463,6 @@ func (s *Server) writeDetectError(w http.ResponseWriter, err error) {
 	}
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		s.queueRejected.Inc()
 		s.rejectedTotal.With(rejectQueueFull).Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")

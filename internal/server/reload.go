@@ -117,11 +117,8 @@ func (s *Server) buildStreamManager(st *backendState) error {
 		MinWindows:       cfg.MinWindows,
 		DisableEarlyExit: cfg.DisableEarlyExit,
 		Hooks: stream.Hooks{
-			SessionOpened: func() { s.streamSessions.Inc() },
-			SessionRejected: func() {
-				s.streamRejected.Inc()
-				s.rejectedTotal.With(rejectStreamSessions).Inc()
-			},
+			SessionOpened:   func() { s.streamSessions.Inc() },
+			SessionRejected: func() { s.rejectedTotal.With(rejectStreamSessions).Inc() },
 			SessionClosed: func(evicted bool) {
 				if evicted {
 					s.streamEvicted.Inc()

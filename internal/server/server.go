@@ -263,8 +263,6 @@ type Server struct {
 	cascadeSampledFull *Counter
 	// inFlight gauges requests currently inside a handler.
 	inFlight *Gauge
-	// queueRejected counts 429s from the admission queue.
-	queueRejected *Counter
 	// panicsTotal counts recovered handler panics.
 	panicsTotal *Counter
 	// reqLog writes the structured access log; nil when disabled.
@@ -313,7 +311,6 @@ type Server struct {
 	// Streaming metrics, always registered (zero when streaming is off)
 	// so the exposition shape does not depend on configuration.
 	streamSessions      *Counter
-	streamRejected      *Counter
 	streamEvicted       *Counter
 	streamWindows       *CounterVec
 	streamEarlyExits    *Counter
@@ -426,8 +423,6 @@ func New(cfg Config) (*Server, error) {
 	s.metrics.GaugeFunc(
 		"mvpears_queue_depth", "Detections waiting in the admission queue.",
 		func() float64 { return float64(s.pool.QueueLen()) })
-	s.queueRejected = s.metrics.Counter(
-		"mvpears_queue_rejected_total", "Requests rejected with 429 by the admission queue.")
 	s.panicsTotal = s.metrics.Counter(
 		"mvpears_handler_panics_total", "Handler panics recovered into 500s.")
 	s.metrics.GaugeFunc(
@@ -461,8 +456,6 @@ func New(cfg Config) (*Server, error) {
 
 	s.streamSessions = s.metrics.Counter(
 		"mvpears_stream_sessions_total", "Streaming sessions opened.")
-	s.streamRejected = s.metrics.Counter(
-		"mvpears_stream_rejected_total", "Streaming sessions rejected by the session limit.")
 	s.streamEvicted = s.metrics.Counter(
 		"mvpears_stream_evicted_total", "Streaming sessions evicted after the idle timeout.")
 	s.streamWindows = s.metrics.CounterVec(

@@ -409,60 +409,28 @@ func (s *Session) Push(ctx context.Context, samples []float64) ([]Window, error)
 func (s *Session) evalWindow(ctx context.Context, pos int) (Window, error) {
 	cfg := &s.m.cfg
 	d := cfg.Detector
-	trace := obs.TraceFrom(ctx)
 	a := pos - cfg.Window
 	if a < 0 {
 		a = 0
 	}
 	started := time.Now()
-
-	n := len(d.Auxiliaries)
-	texts := make([]string, n+1)
-	start := time.Now()
-	for i := range texts {
-		engStart := time.Now()
-		text, err := s.es.WindowText(i, a, pos)
-		if err != nil {
-			return Window{}, fmt.Errorf("stream: window [%d,%d): %w", a, pos, err)
-		}
-		texts[i] = text
-		name := d.Target.Name()
-		if i > 0 {
-			name = d.Auxiliaries[i-1].Name()
-		}
-		trace.Record(obs.StageTranscribe, name, engStart)
-	}
-	trace.Record(obs.StageTranscribe, "", start)
-
-	simStart := time.Now()
-	encTarget := d.Method.Encode(texts[0])
-	encAux := make([]string, n)
-	for i := 0; i < n; i++ {
-		encAux[i] = d.Method.Encode(texts[i+1])
-	}
-	trace.Record(obs.StagePhonetic, "", simStart)
-	scoreStart := time.Now()
-	scores := make([]float64, n)
-	for i, enc := range encAux {
-		scores[i] = d.Method.Score(encTarget, enc)
-	}
-	trace.Record(obs.StageSimilarity, "", scoreStart)
-
-	clsStart := time.Now()
-	pred, err := d.Classifier.Predict(scores)
+	tr, err := s.transcribe(ctx, func(i int) (string, error) { return s.es.WindowText(i, a, pos) })
 	if err != nil {
-		return Window{}, fmt.Errorf("stream: window classification: %w", err)
+		return Window{}, fmt.Errorf("stream: window [%d,%d): %w", a, pos, err)
 	}
-	trace.Record(obs.StageClassify, "", clsStart)
+	scores, adversarial, _, err := d.Classify(ctx, tr)
+	if err != nil {
+		return Window{}, fmt.Errorf("stream: window: %w", err)
+	}
 
 	w := Window{
 		Index:       s.windows,
 		Start:       a,
 		End:         pos,
-		Target:      texts[0],
-		Aux:         texts[1:],
+		Target:      tr.Target,
+		Aux:         tr.Aux,
 		Scores:      scores,
-		Adversarial: pred == 1,
+		Adversarial: adversarial,
 		Elapsed:     time.Since(started),
 	}
 	s.windows++
@@ -475,7 +443,7 @@ func (s *Session) evalWindow(ctx context.Context, pos int) (Window, error) {
 	// window can dip under its floor while the ensemble still agrees.
 	// One window can be a boundary artifact either way; MinWindows
 	// consecutive ones flag the session.
-	if len(cfg.Floors) > 0 && pred == 1 && texts[0] != "" {
+	if len(cfg.Floors) > 0 && adversarial && tr.Target != "" {
 		worst, worstGap := -1, 0.0
 		for i, f := range cfg.Floors {
 			if gap := f - scores[i]; scores[i] < f && gap > worstGap {
@@ -505,6 +473,29 @@ func (s *Session) evalWindow(ctx context.Context, pos int) (Window, error) {
 	return w, nil
 }
 
+// transcribe reads one transcription per engine, target first, through
+// text, recording a transcribe span per engine and one for the ensemble.
+func (s *Session) transcribe(ctx context.Context, text func(i int) (string, error)) (detector.Transcriptions, error) {
+	d := s.m.cfg.Detector
+	trace := obs.TraceFrom(ctx)
+	texts := make([]string, len(d.Auxiliaries)+1)
+	start := time.Now()
+	for i := range texts {
+		engStart := time.Now()
+		var err error
+		if texts[i], err = text(i); err != nil {
+			return detector.Transcriptions{}, err
+		}
+		name := d.Target.Name()
+		if i > 0 {
+			name = d.Auxiliaries[i-1].Name()
+		}
+		trace.Record(obs.StageTranscribe, name, engStart)
+	}
+	trace.Record(obs.StageTranscribe, "", start)
+	return detector.Transcriptions{Target: texts[0], Aux: texts[1:]}, nil
+}
+
 // Finish seals the stream and produces the final whole-clip verdict —
 // the same transcribe → phonetic-encode → score → classify sequence as
 // detector.Detect on the complete clip, from the incrementally built
@@ -519,61 +510,27 @@ func (s *Session) Finish(ctx context.Context) (*Final, error) {
 		return nil, fmt.Errorf("stream: Finish called twice")
 	}
 	s.lastActive = time.Now()
-	d := s.m.cfg.Detector
-	trace := obs.TraceFrom(ctx)
-	var timing detector.Timing
-
 	if err := s.es.Finalize(); err != nil {
 		return nil, err
 	}
-	n := len(d.Auxiliaries)
-	texts := make([]string, n+1)
 	start := time.Now()
-	for i := range texts {
-		engStart := time.Now()
-		text, err := s.es.FinalText(i)
-		if err != nil {
-			return nil, fmt.Errorf("stream: final transcription: %w", err)
-		}
-		texts[i] = text
-		name := d.Target.Name()
-		if i > 0 {
-			name = d.Auxiliaries[i-1].Name()
-		}
-		trace.Record(obs.StageTranscribe, name, engStart)
-	}
-	trace.Record(obs.StageTranscribe, "", start)
-	timing.Recognition = time.Since(start)
-
-	simStart := time.Now()
-	encTarget := d.Method.Encode(texts[0])
-	encAux := make([]string, n)
-	for i := 0; i < n; i++ {
-		encAux[i] = d.Method.Encode(texts[i+1])
-	}
-	trace.Record(obs.StagePhonetic, "", simStart)
-	scoreStart := time.Now()
-	scores := make([]float64, n)
-	for i, enc := range encAux {
-		scores[i] = d.Method.Score(encTarget, enc)
-	}
-	trace.Record(obs.StageSimilarity, "", scoreStart)
-	timing.Similarity = time.Since(simStart)
-
-	clsStart := time.Now()
-	pred, err := d.Classifier.Predict(scores)
+	tr, err := s.transcribe(ctx, s.es.FinalText)
 	if err != nil {
-		return nil, fmt.Errorf("stream: classifying: %w", err)
+		return nil, fmt.Errorf("stream: final transcription: %w", err)
 	}
-	trace.Record(obs.StageClassify, "", clsStart)
-	timing.Classify = time.Since(clsStart)
+	recognition := time.Since(start)
+	scores, adversarial, timing, err := s.m.cfg.Detector.Classify(ctx, tr)
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
+	}
+	timing.Recognition = recognition
 
 	s.finalized = true
 	fin := &Final{
 		Decision: detector.Decision{
-			Adversarial:    pred == 1,
+			Adversarial:    adversarial,
 			Scores:         scores,
-			Transcriptions: detector.Transcriptions{Target: texts[0], Aux: texts[1:]},
+			Transcriptions: tr,
 		},
 		Timing:    timing,
 		Windows:   s.windows,
